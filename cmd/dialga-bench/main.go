@@ -14,8 +14,6 @@
 //	dialga-bench -encode -fused=off  # legacy two-pass path only (escape hatch)
 //	dialga-bench -encode -json -gate ci/bench_fused_baseline.json
 //	                                 # machine-readable + regression gate
-//	dialga-bench -cluster            # in-process 6-node cluster lifecycle:
-//	                                 # put/get, kill 2 nodes, degraded get, repair
 //	dialga-bench -repair             # quorum-degraded puts with a node down,
 //	                                 # then intent adoption + repair convergence
 //	dialga-bench -repair -json       # same, machine-readable (BENCH_repair.json)
@@ -52,10 +50,9 @@ func main() {
 		encodeB   = flag.Bool("encode", false, "benchmark fused vs two-pass encode across k and checksum settings")
 		fusedMode = flag.String("fused", "both", "with -encode: sweep the fused path (on), the legacy two-pass path (off), or both")
 		gate      = flag.String("gate", "", "with -encode: baseline BENCH_fused.json; fail if the RS(10,4) fused speedup regressed >10%")
-		clusterB  = flag.Bool("cluster", false, "benchmark an in-process 6-node cluster: put/get, kill, degraded get, repair")
 		repairB   = flag.Bool("repair", false, "benchmark quorum-degraded puts and repair convergence after the missing node returns")
 		rebalB    = flag.Bool("rebalance", false, "benchmark cluster-map-swap rebalancing: migration convergence and range-read fan-out")
-		asJSON    = flag.Bool("json", false, "with -straggler/-cluster/-repair/-rebalance/-encode: emit JSON instead of text")
+		asJSON    = flag.Bool("json", false, "with -straggler/-repair/-rebalance/-encode: emit JSON instead of text")
 		serve     = flag.String("serve", "", "loop the straggler workload and serve /metrics, /debug/trace and pprof on this address (e.g. :8080)")
 	)
 	flag.Parse()
@@ -86,14 +83,6 @@ func main() {
 
 	if *adaptiveB {
 		if err := runAdaptive(*quick, *asJSON); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *clusterB {
-		if err := runCluster(*quick, *asJSON); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -40,6 +41,40 @@ type repairResult struct {
 	RepairMBps      float64      `json:"repair_mbps"`
 	IntentsDrained  bool         `json:"intents_drained"`
 	FinalScrubClean bool         `json:"final_scrub_clean"`
+}
+
+// benchNode is one in-process cluster member: a real shard server on a
+// real loopback listener, stoppable and restartable on the same
+// address to simulate node loss and replacement.
+type benchNode struct {
+	id   cluster.NodeID
+	dir  string
+	addr string
+	srv  *http.Server
+}
+
+func (n *benchNode) start(reg *obs.Registry) error {
+	store, err := node.OpenStore(n.dir, reg)
+	if err != nil {
+		return err
+	}
+	ln, err := net.Listen("tcp", n.addr)
+	if err != nil {
+		return err
+	}
+	if n.addr == "127.0.0.1:0" {
+		n.addr = ln.Addr().String()
+	}
+	n.srv = &http.Server{Handler: node.NewServer(store, nil, reg).Handler()}
+	go n.srv.Serve(ln)
+	return nil
+}
+
+func (n *benchNode) stop() {
+	if n.srv != nil {
+		n.srv.Close()
+		n.srv = nil
+	}
 }
 
 // runRepairBench stands up an in-process cluster with one node down,

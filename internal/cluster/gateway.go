@@ -74,11 +74,6 @@ type GatewayOptions struct {
 	// journaling (quorum puts still succeed, but a gateway crash
 	// forgets which shards were owed).
 	Intents *IntentLog
-	// OnDegraded is called once per shard missing at ack time, after
-	// its intent is journaled — the hook the repairer registers to
-	// learn about owed shards without polling. Called from PutObject's
-	// goroutine; keep it fast. Nil disables.
-	OnDegraded func(object string, index int)
 }
 
 // Gateway stripes whole objects across the cluster: PUT encodes an
@@ -203,21 +198,20 @@ func NewGateway(opts GatewayOptions) (*Gateway, error) {
 		backoff = 50 * time.Millisecond
 	}
 	g := &Gateway{
-		k:          opts.K,
-		m:          opts.M,
-		stripe:     stripeSize,
-		spares:     spares,
-		router:     router,
-		hedge:      opts.HedgeAfter,
-		seed:       opts.Seed,
-		reg:        opts.Metrics,
-		hc:         hc,
-		codec:      codec,
-		quorum:     quorum,
-		retries:    retries,
-		backoff:    backoff,
-		intents:    opts.Intents,
-		onDegraded: opts.OnDegraded,
+		k:       opts.K,
+		m:       opts.M,
+		stripe:  stripeSize,
+		spares:  spares,
+		router:  router,
+		hedge:   opts.HedgeAfter,
+		seed:    opts.Seed,
+		reg:     opts.Metrics,
+		hc:      hc,
+		codec:   codec,
+		quorum:  quorum,
+		retries: retries,
+		backoff: backoff,
+		intents: opts.Intents,
 	}
 	g.state.Store(g.buildState(opts.Map, nil))
 	return g, nil
@@ -272,9 +266,12 @@ func (g *Gateway) UpdateMap(next *Map) error {
 // Shards returns the stripe width K+M.
 func (g *Gateway) Shards() int { return g.k + g.m }
 
-// SetOnDegraded installs the degraded-put callback after construction
-// — the gateway is usually built before the repairer that wants the
-// hook. Call before the gateway starts serving puts; the hook is read
+// SetOnDegraded installs the degraded-put hook: f is called once per
+// shard missing at a put's ack, after its intent is journaled — how
+// the repairer learns about owed shards without polling. It runs on
+// PutObject's goroutine, so keep it fast. This is the only way to set
+// the hook, since the gateway is built before the repairer that wants
+// it. Call before the gateway starts serving puts; the hook is read
 // without synchronization.
 func (g *Gateway) SetOnDegraded(f func(object string, index int)) { g.onDegraded = f }
 
@@ -338,10 +335,10 @@ func (g *Gateway) streamOptions() stream.Options {
 // retried per shard with backoff and full jitter, replaying the shard
 // from an in-memory spool; a shard that still cannot land does not
 // fail the put as long as quorum holds — its absence is journaled as a
-// durable write intent *before* the ack, then reported through
-// OnDegraded so repair rebuilds it. Below quorum the put fails and the
-// shards that did land are deleted best-effort. Returns the placement
-// used.
+// durable write intent *before* the ack, then reported through the
+// SetOnDegraded hook so repair rebuilds it. Below quorum the put fails
+// and the shards that did land are deleted best-effort. Returns the
+// placement used.
 func (g *Gateway) PutObject(ctx context.Context, object string, r io.Reader, size int64, class string) (Placement, error) {
 	if size < 0 {
 		return nil, fmt.Errorf("cluster: put %q needs a known size", object)
@@ -662,21 +659,7 @@ func (g *Gateway) open(ctx context.Context, st *mapState, object string, placeme
 		want = n
 	}
 	set := openSet{readers: make([]io.Reader, n)}
-	var firstErr error
-	failures, notFound := 0, 0
-	fail := func(err error) {
-		failures++
-		if errors.Is(err, node.ErrNotFound) {
-			notFound++
-		} else if firstErr == nil || errors.Is(firstErr, node.ErrNotFound) {
-			// A non-404 failure is the more telling diagnosis; let it
-			// displace an earlier not-found as the reported cause.
-			firstErr = err
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
+	var fails readFailures
 	for _, idx := range g.router.Order(object, placement) {
 		if set.opened >= want {
 			break
@@ -687,7 +670,7 @@ func (g *Gateway) open(ctx context.Context, st *mapState, object string, placeme
 		info := placement[idx]
 		cli, cerr := g.clientFor(st, info.ID)
 		if cerr != nil {
-			fail(fmt.Errorf("shard %d: %w", idx, cerr))
+			fails.add(fmt.Errorf("shard %d: %w", idx, cerr))
 			continue
 		}
 		cli = cli.WithClass(class)
@@ -695,7 +678,7 @@ func (g *Gateway) open(ctx context.Context, st *mapState, object string, placeme
 		h, body, err := cli.OpenShardAt(ctx, object, idx, block, count)
 		g.router.Observe(info.ID, time.Since(start), err)
 		if err != nil {
-			fail(fmt.Errorf("shard %d from %s: %w", idx, info.ID, err))
+			fails.add(fmt.Errorf("shard %d from %s: %w", idx, info.ID, err))
 			g.counter("cluster_open_failures_total",
 				"Shard opens that failed during object reads, by node.",
 				obs.Label{Key: "node", Value: string(info.ID)}).Inc()
@@ -703,7 +686,7 @@ func (g *Gateway) open(ctx context.Context, st *mapState, object string, placeme
 		}
 		if int(h.Index) != idx || int(h.K) != g.k || int(h.M) != g.m {
 			body.Close()
-			fail(fmt.Errorf("shard %d from %s: header (k=%d m=%d index=%d) does not match cluster geometry",
+			fails.add(fmt.Errorf("shard %d from %s: header (k=%d m=%d index=%d) does not match cluster geometry",
 				idx, info.ID, h.K, h.M, h.Index))
 			continue
 		}
@@ -719,17 +702,52 @@ func (g *Gateway) open(ctx context.Context, st *mapState, object string, placeme
 				c.Close()
 			}
 		}
-		if set.opened == 0 && failures > 0 && notFound == failures {
-			return openSet{}, fmt.Errorf("cluster: get %q: %w on all %d shards",
-				object, node.ErrNotFound, failures)
-		}
-		if firstErr == nil {
-			firstErr = errors.New("no shards reachable")
+		if set.opened == 0 && fails.absent() {
+			return openSet{}, fails.notFoundErr(object)
 		}
 		return openSet{}, fmt.Errorf("cluster: get %q: only %d of %d shards available: %w",
-			object, set.opened, g.k, firstErr)
+			object, set.opened, g.k, fails.cause())
 	}
 	return set, nil
+}
+
+// readFailures tallies the shard failures of one object read and
+// decides what the read reports. When every failure was a clean
+// not-found the object is genuinely absent (a 404); any other failure
+// in the mix means the object may exist but be unreadable right now (a
+// 502), so a non-404 error displaces an earlier not-found as the
+// reported cause.
+type readFailures struct {
+	n, notFound int
+	first       error
+}
+
+func (f *readFailures) add(err error) {
+	f.n++
+	if errors.Is(err, node.ErrNotFound) {
+		f.notFound++
+		if f.first == nil {
+			f.first = err
+		}
+	} else if f.first == nil || errors.Is(f.first, node.ErrNotFound) {
+		f.first = err
+	}
+}
+
+// absent reports whether there were failures and all were not-found.
+func (f *readFailures) absent() bool { return f.n > 0 && f.notFound == f.n }
+
+// notFoundErr is the error for an object absent from every shard.
+func (f *readFailures) notFoundErr(object string) error {
+	return fmt.Errorf("cluster: get %q: %w on all %d shards", object, node.ErrNotFound, f.n)
+}
+
+// cause is the error to report for a read that could not proceed.
+func (f *readFailures) cause() error {
+	if f.first == nil {
+		return errors.New("no shards reachable")
+	}
+	return f.first
 }
 
 // ObjectRead is an opened object read pinned to one map generation:
@@ -919,19 +937,15 @@ func (g *Gateway) openRange(ctx context.Context, object string, spec rangeSpec, 
 }
 
 // statObject learns an object's geometry and size from the first
-// placed shard that answers a stat, in router order. Failures follow
-// open's not-found rule: all-404 means the object is absent.
+// placed shard that answers a stat, in router order. Failures are
+// classified by readFailures, exactly as open's are.
 func (g *Gateway) statObject(ctx context.Context, st *mapState, object string, placement Placement, class string) (node.Stat, error) {
-	var firstErr error
-	failures, notFound := 0, 0
+	var fails readFailures
 	for _, idx := range g.router.Order(object, placement) {
 		info := placement[idx]
 		cli, cerr := g.clientFor(st, info.ID)
 		if cerr != nil {
-			failures++
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %d: %w", idx, cerr)
-			}
+			fails.add(fmt.Errorf("shard %d: %w", idx, cerr))
 			continue
 		}
 		start := time.Now()
@@ -940,24 +954,12 @@ func (g *Gateway) statObject(ctx context.Context, st *mapState, object string, p
 		if err == nil {
 			return stat, nil
 		}
-		failures++
-		if errors.Is(err, node.ErrNotFound) {
-			notFound++
-		} else if firstErr == nil || errors.Is(firstErr, node.ErrNotFound) {
-			firstErr = fmt.Errorf("shard %d from %s: %w", idx, info.ID, err)
-		}
-		if firstErr == nil {
-			firstErr = fmt.Errorf("shard %d from %s: %w", idx, info.ID, err)
-		}
+		fails.add(fmt.Errorf("shard %d from %s: %w", idx, info.ID, err))
 	}
-	if failures > 0 && notFound == failures {
-		return node.Stat{}, fmt.Errorf("cluster: get %q: %w on all %d shards",
-			object, node.ErrNotFound, failures)
+	if fails.absent() {
+		return node.Stat{}, fails.notFoundErr(object)
 	}
-	if firstErr == nil {
-		firstErr = errors.New("no shards reachable")
-	}
-	return node.Stat{}, fmt.Errorf("cluster: get %q: no shard stat available: %w", object, firstErr)
+	return node.Stat{}, fmt.Errorf("cluster: get %q: no shard stat available: %w", object, fails.cause())
 }
 
 // DeleteObject drops every shard of the object from its placement.
@@ -987,13 +989,33 @@ func (g *Gateway) DeleteObject(ctx context.Context, object string, class string)
 
 // Objects lists every object any reachable node stores shards for.
 func (g *Gateway) Objects(ctx context.Context) ([]string, error) {
-	st := g.snap()
+	names, err := listObjects(ctx, g.snap().members(), "")
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	return names, nil
+}
+
+// members returns the generation's shard clients in map order.
+func (st *mapState) members() []*node.Client {
+	clients := make([]*node.Client, 0, len(st.clients))
+	for _, info := range st.cmap.Nodes() {
+		clients = append(clients, st.clients[info.ID])
+	}
+	return clients
+}
+
+// listObjects is the one cluster-wide object walk: it asks every client
+// for its object list over traffic class class and returns the sorted,
+// deduplicated union. Unreachable nodes are skipped; only when none
+// answers does it fail, wrapping the first node's error.
+func listObjects(ctx context.Context, clients []*node.Client, class string) ([]string, error) {
 	seen := make(map[string]bool)
 	var names []string
 	var firstErr error
 	reached := 0
-	for _, info := range st.cmap.Nodes() {
-		list, err := st.clients[info.ID].Objects(ctx)
+	for _, cli := range clients {
+		list, err := cli.WithClass(class).Objects(ctx)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -1009,7 +1031,7 @@ func (g *Gateway) Objects(ctx context.Context) ([]string, error) {
 		}
 	}
 	if reached == 0 {
-		return nil, fmt.Errorf("cluster: no node reachable: %w", firstErr)
+		return nil, fmt.Errorf("no node reachable: %w", firstErr)
 	}
 	sort.Strings(names)
 	return names, nil

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"testing"
 
+	"dialga/internal/node"
 	"dialga/internal/obs"
 	"dialga/internal/shardfile"
 )
@@ -121,6 +122,47 @@ func TestGatewayHTTPNotFoundVsUnavailable(t *testing.T) {
 	resp, body, _ = httpGet(t, srv, "never-put", "")
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("absent object with node down: status %d (%s), want 502", resp.StatusCode, body)
+	}
+}
+
+// TestReadFailures pins the one read-failure rule open and statObject
+// share: only an all-404 tally means absent, and a non-404 failure
+// displaces an earlier 404 as the cause, so the gateway answers 502.
+func TestReadFailures(t *testing.T) {
+	notFound := fmt.Errorf("shard 0: %w", &node.StatusError{Code: http.StatusNotFound})
+	down := errors.New("shard 1: connection refused")
+	unknown := fmt.Errorf("shard 2: %w", ErrUnknownNode)
+	for _, tt := range []struct {
+		name   string
+		errs   []error
+		absent bool
+		cause  error
+	}{
+		{name: "none", cause: nil},
+		{name: "all not found", errs: []error{notFound, notFound}, absent: true, cause: notFound},
+		{name: "not found then down", errs: []error{notFound, down}, cause: down},
+		{name: "down then not found", errs: []error{down, notFound}, cause: down},
+		{name: "not found then unknown node", errs: []error{notFound, unknown, down}, cause: unknown},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			var f readFailures
+			for _, err := range tt.errs {
+				f.add(err)
+			}
+			if f.absent() != tt.absent {
+				t.Fatalf("absent = %v, want %v", f.absent(), tt.absent)
+			}
+			got := f.cause()
+			if tt.cause == nil {
+				if got.Error() != "no shards reachable" {
+					t.Fatalf("cause = %v, want no shards reachable", got)
+				}
+				return
+			}
+			if got != tt.cause {
+				t.Fatalf("cause = %v, want %v", got, tt.cause)
+			}
+		})
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"dialga/internal/node"
 	"dialga/internal/obs"
@@ -86,39 +85,21 @@ func (r *Repairer) Rebalance(ctx context.Context, old *Map) (int, error) {
 // shards for — the current members plus transient clients for nodes
 // only the old map knows, whose shards still need to move off.
 func (r *Repairer) objectsAcross(ctx context.Context, st *mapState, old *Map) ([]string, error) {
-	clients := make(map[string]*node.Client, st.cmap.Len())
+	clients := st.members()
+	known := make(map[string]bool, st.cmap.Len())
 	for _, info := range st.cmap.Nodes() {
-		clients[info.Addr] = st.clients[info.ID]
+		known[info.Addr] = true
 	}
 	for _, info := range old.Nodes() {
-		if _, ok := clients[info.Addr]; !ok {
-			clients[info.Addr] = r.gw.dial(info.Addr)
+		if !known[info.Addr] {
+			known[info.Addr] = true
+			clients = append(clients, r.gw.dial(info.Addr))
 		}
 	}
-	seen := make(map[string]bool)
-	var names []string
-	var firstErr error
-	reached := 0
-	for _, cli := range clients {
-		list, err := cli.WithClass(node.ClassRepair).Objects(ctx)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		reached++
-		for _, name := range list {
-			if !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
-		}
+	names, err := listObjects(ctx, clients, node.ClassRepair)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: rebalance scan: %w", err)
 	}
-	if reached == 0 {
-		return nil, fmt.Errorf("cluster: rebalance scan: no node reachable: %w", firstErr)
-	}
-	sort.Strings(names)
 	return names, nil
 }
 

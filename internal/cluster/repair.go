@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -270,31 +269,10 @@ func (r *Repairer) admit(ctx context.Context) error {
 // objects lists every object any node stores shards for, over
 // repair-class requests.
 func (r *Repairer) objects(ctx context.Context) ([]string, error) {
-	st := r.gw.snap()
-	seen := make(map[string]bool)
-	var names []string
-	var firstErr error
-	reached := 0
-	for _, info := range st.cmap.Nodes() {
-		list, err := st.clients[info.ID].WithClass(node.ClassRepair).Objects(ctx)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		reached++
-		for _, name := range list {
-			if !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
-		}
+	names, err := listObjects(ctx, r.gw.snap().members(), node.ClassRepair)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: repair scan: %w", err)
 	}
-	if reached == 0 {
-		return nil, fmt.Errorf("cluster: repair scan: no node reachable: %w", firstErr)
-	}
-	sort.Strings(names)
 	return names, nil
 }
 

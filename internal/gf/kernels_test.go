@@ -50,33 +50,6 @@ func TestMulSliceAddMatchesRef(t *testing.T) {
 	}
 }
 
-func TestWordTablesMatchRef(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	for _, n := range kernelLengths {
-		src := randBytes(r, n)
-		init := randBytes(r, n)
-		for c := 0; c < 256; c += 3 {
-			wt := MakeWordTables(byte(c))
-
-			want := make([]byte, n)
-			RefMulSlice(byte(c), want, src)
-			got := make([]byte, n)
-			wt.MulSlice(got, src)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("WordTables.MulSlice c=%d n=%d differs", c, n)
-			}
-
-			want = append([]byte(nil), init...)
-			RefMulSliceAdd(byte(c), want, src)
-			got = append([]byte(nil), init...)
-			wt.MulSliceAdd(got, src)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("WordTables.MulSliceAdd c=%d n=%d differs", c, n)
-			}
-		}
-	}
-}
-
 func TestMulAddQuadMatchesRef(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	for _, n := range kernelLengths {
@@ -232,8 +205,8 @@ func TestKernelPanics(t *testing.T) {
 	expectPanic("XorInto ragged", func() { XorInto(make([]byte, 8), make([]byte, 7)) })
 }
 
-// FuzzMulSliceAdd pins the word-parallel and SWAR single-coefficient
-// kernels byte-for-byte against the scalar reference on arbitrary
+// FuzzMulSliceAdd pins the word-parallel single-coefficient kernels
+// byte-for-byte against the scalar reference on arbitrary
 // (coefficient, destination, source) inputs, including unaligned
 // lengths.
 func FuzzMulSliceAdd(f *testing.F) {
@@ -257,24 +230,12 @@ func FuzzMulSliceAdd(f *testing.F) {
 			t.Fatalf("MulSliceAdd c=%d len=%d diverges from scalar reference", c, len(src))
 		}
 
-		wt := MakeWordTables(c)
-		got2 := append([]byte(nil), dst...)
-		wt.MulSliceAdd(got2, src)
-		if !bytes.Equal(got2, want) {
-			t.Fatalf("WordTables.MulSliceAdd c=%d len=%d diverges from scalar reference", c, len(src))
-		}
-
 		wantMul := make([]byte, len(src))
 		RefMulSlice(c, wantMul, src)
 		gotMul := append([]byte(nil), dst...)
 		MulSlice(c, gotMul, src)
 		if !bytes.Equal(gotMul, wantMul) {
 			t.Fatalf("MulSlice c=%d len=%d diverges from scalar reference", c, len(src))
-		}
-		gotMul2 := append([]byte(nil), dst...)
-		wt.MulSlice(gotMul2, src)
-		if !bytes.Equal(gotMul2, wantMul) {
-			t.Fatalf("WordTables.MulSlice c=%d len=%d diverges from scalar reference", c, len(src))
 		}
 	})
 }
@@ -374,17 +335,6 @@ func BenchmarkRefMulSliceAdd64K(b *testing.B) {
 	b.SetBytes(64 << 10)
 	for i := 0; i < b.N; i++ {
 		RefMulSliceAdd(0x57, dst, src)
-	}
-}
-
-func BenchmarkWordTablesMulSliceAdd64K(b *testing.B) {
-	src := make([]byte, 64<<10)
-	dst := make([]byte, 64<<10)
-	rand.New(rand.NewSource(7)).Read(src)
-	wt := MakeWordTables(0x57)
-	b.SetBytes(64 << 10)
-	for i := 0; i < b.N; i++ {
-		wt.MulSliceAdd(dst, src)
 	}
 }
 

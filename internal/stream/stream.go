@@ -329,7 +329,6 @@ type geom struct {
 	metrics    *obs.Registry   // nil: each pipeline gets a private registry
 	trace      *obs.Tracer     // nil: tracing off
 	tuner      Tuner           // nil: every knob static
-	clock      vclock.Clock    // nil: wall clock
 }
 
 var errNoCodec = errors.New("stream: Options.Codec is required")
@@ -416,7 +415,6 @@ func (o Options) geometry() (geom, error) {
 		metrics:    o.Metrics,
 		trace:      o.Trace,
 		tuner:      o.Tuner,
-		clock:      o.Clock,
 	}, nil
 }
 
